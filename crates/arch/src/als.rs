@@ -122,11 +122,6 @@ impl AlsStructure {
         AlsStructure { id, kind, fus }
     }
 
-    /// Capability of the unit at chain `position`.
-    pub fn caps_at(&self, position: usize) -> FuCaps {
-        self.kind.unit_caps(position)
-    }
-
     /// Chain position of a global FU id within this ALS, if it belongs here.
     pub fn position_of(&self, fu: FuId) -> Option<usize> {
         self.fus.iter().position(|&f| f == fu)

@@ -307,22 +307,6 @@ impl CavityWorkload {
         }
     }
 
-    /// Set the lid speed (builder style) — one of the cavity's natural
-    /// sweep axes, alongside `re`.
-    pub fn with_lid(mut self, lid: f64) -> Self {
-        self.lid = lid;
-        self
-    }
-
-    /// Set the time step explicitly (builder style), overriding the
-    /// FTCS-stable default [`CavityWorkload::new`] derives from `re`.
-    /// Sweeping `dt` past the stability limit is how an ensemble maps the
-    /// divergence boundary.
-    pub fn with_dt(mut self, dt: f64) -> Self {
-        self.dt = dt;
-        self
-    }
-
     /// Thom's wall-vorticity update from the current stream function.
     fn wall_vorticity(&self, omega: &mut Grid2, psi: &Grid2) {
         let n = self.n;

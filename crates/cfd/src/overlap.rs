@@ -351,49 +351,35 @@ impl<'p> SweepEngine<'p> {
         let mut res = vec![0.0f64; parts.len()];
         let axis = self.partition.shape().overlap_axis();
         let splits = &self.splits;
-        let compute = &compute;
-
-        // Run one compute phase concurrently across parts; each part
-        // covers the listed windows of its split.
-        let phase = |slabs: &mut [Vec<f64>], res: &mut [f64], shell: bool| {
-            let _ = crossbeam::thread::scope(|scope| {
-                for ((pi, slab), r) in slabs.iter_mut().enumerate().zip(res.iter_mut()) {
-                    scope.spawn(move |_| {
-                        let windows: Vec<SweepWindow> = if shell {
-                            splits[pi].shell_windows()
-                        } else {
-                            splits[pi].interior.into_iter().collect()
-                        };
-                        for w in windows {
-                            *r = r.max(compute(pi, w.start..w.start + w.len, slab));
-                        }
-                    });
-                }
-            });
-        };
 
         if !self.overlap {
             // Legacy: full sweeps concurrently, then one full exchange.
-            let _ = crossbeam::thread::scope(|scope| {
-                for ((pi, slab), r) in slabs.iter_mut().enumerate().zip(res.iter_mut()) {
-                    let layers = 0..parts[pi].spans[axis].local_len();
-                    scope.spawn(move |_| {
-                        *r = compute(pi, layers, slab);
-                    });
-                }
+            for_each_part(slabs, &mut res, |pi, slab, r| {
+                *r = compute(pi, 0..parts[pi].spans[axis].local_len(), slab);
             });
             host_halo_exchange(self.partition, system, plane, slabs, &self.halo);
             return res;
         }
 
+        // One compute phase: each part covers the listed windows of its
+        // split, folding their residuals into its own.
+        let sweep = |pi: usize, windows: &[SweepWindow], slab: &mut Vec<f64>, r: &mut f64| {
+            for w in windows {
+                *r = r.max(compute(pi, w.start..w.start + w.len, slab));
+            }
+        };
         if !fresh_ghosts && self.sync_spec.wants_any() {
             host_halo_exchange(self.partition, system, plane, slabs, &self.sync_spec);
         }
-        phase(slabs, &mut res, false);
+        for_each_part(slabs, &mut res, |pi, slab, r| {
+            sweep(pi, splits[pi].interior.as_slice(), slab, r)
+        });
         if !fresh_ghosts {
             host_halo_exchange(self.partition, system, plane, slabs, &self.overlap_spec);
         }
-        phase(slabs, &mut res, true);
+        for_each_part(slabs, &mut res, |pi, slab, r| {
+            sweep(pi, &splits[pi].shell_windows(), slab, r)
+        });
         res
     }
 
@@ -419,6 +405,22 @@ impl<'p> SweepEngine<'p> {
             node.mem.cache_mut(RESIDUAL_CACHE).write(0, 0, r);
         }
     }
+}
+
+/// Run `work(part, slab, residual)` for every part concurrently, one
+/// scoped thread per part — the host-compute phase of
+/// [`SweepEngine::host_sweep`].
+fn for_each_part(
+    slabs: &mut [Vec<f64>],
+    res: &mut [f64],
+    work: impl Fn(usize, &mut Vec<f64>, &mut f64) + Sync,
+) {
+    let work = &work;
+    let _ = crossbeam::thread::scope(|scope| {
+        for ((pi, slab), r) in slabs.iter_mut().enumerate().zip(res.iter_mut()) {
+            scope.spawn(move |_| work(pi, slab, r));
+        }
+    });
 }
 
 #[cfg(test)]

@@ -844,11 +844,6 @@ impl BlockPartition {
         &self.parts[r * self.torus.cols() + c]
     }
 
-    /// The two split axes as `(row_axis, col_axis)`.
-    pub fn split_axes(&self) -> (usize, usize) {
-        (self.row_axis, self.col_axis)
-    }
-
     /// The owned sizes along the row-split axis, in torus-row order.
     pub fn row_sizes(&self) -> Vec<usize> {
         (0..self.torus.rows()).map(|r| self.part_at(r, 0).spans[self.row_axis].len).collect()

@@ -18,7 +18,7 @@ use nsc_arch::NodeId;
 use nsc_checker::Diagnostic;
 use nsc_codegen::GenError;
 use nsc_diagram::DiagramError;
-use nsc_sim::{ExecError, NodeExecError};
+use nsc_sim::ExecError;
 use std::error::Error;
 use std::fmt;
 
@@ -40,11 +40,6 @@ impl DiagnosticSet {
     /// The findings.
     pub fn diagnostics(&self) -> &[Diagnostic] {
         &self.0
-    }
-
-    /// Unwrap the findings.
-    pub fn into_vec(self) -> Vec<Diagnostic> {
-        self.0
     }
 
     /// Number of findings.
@@ -111,6 +106,26 @@ pub enum NscError {
     },
     /// A batch was submitted with documents but no nodes to run them on.
     EmptyPool,
+    /// A pool named a node index past the end of the node slice.
+    PoolNodeOutOfRange {
+        /// The offending pool entry.
+        node: usize,
+        /// How many nodes the slice has.
+        nodes: usize,
+    },
+    /// A pool named the same node twice.
+    PoolNodeRepeated {
+        /// The repeated pool entry.
+        node: usize,
+    },
+    /// A phased run was given a per-lane program slice whose length is not
+    /// the pool's.
+    LaneCountMismatch {
+        /// Pool lanes.
+        lanes: usize,
+        /// Program slots supplied.
+        programs: usize,
+    },
     /// A batch worker thread panicked. Unreachable with the std-backed
     /// scoped-thread pool (child panics propagate), kept so the driver has
     /// no panicking path of its own.
@@ -165,6 +180,13 @@ impl fmt::Display for NscError {
             NscError::Batch { doc, source } => write!(f, "batch document {doc}: {source}"),
             NscError::NodeFailed { node, source } => write!(f, "node {node}: {source}"),
             NscError::EmptyPool => write!(f, "batch submitted with no nodes to run on"),
+            NscError::PoolNodeOutOfRange { node, nodes } => {
+                write!(f, "pool names node {node}, but there are only {nodes} nodes")
+            }
+            NscError::PoolNodeRepeated { node } => write!(f, "pool names node {node} twice"),
+            NscError::LaneCountMismatch { lanes, programs } => {
+                write!(f, "{programs} program slots supplied for {lanes} pool lanes")
+            }
             NscError::WorkerPanic => write!(f, "a batch worker thread panicked"),
             NscError::Workload(msg) => write!(f, "workload rejected: {msg}"),
             NscError::ShapeMismatch { expected, got } => write!(
@@ -188,6 +210,9 @@ impl Error for NscError {
             }
             NscError::MaxInstructions { .. }
             | NscError::EmptyPool
+            | NscError::PoolNodeOutOfRange { .. }
+            | NscError::PoolNodeRepeated { .. }
+            | NscError::LaneCountMismatch { .. }
             | NscError::WorkerPanic
             | NscError::Workload(_)
             | NscError::ShapeMismatch { .. } => None,
@@ -210,12 +235,6 @@ impl From<GenError> for NscError {
 impl From<ExecError> for NscError {
     fn from(e: ExecError) -> Self {
         NscError::Exec(e)
-    }
-}
-
-impl From<NodeExecError> for NscError {
-    fn from(e: NodeExecError) -> Self {
-        NscError::on_node(e.node, NscError::Exec(e.error))
     }
 }
 
@@ -257,8 +276,7 @@ mod tests {
 
     #[test]
     fn node_failures_chain_to_the_executor_error() {
-        let e: NscError =
-            NodeExecError { node: NodeId(5), error: ExecError::BadProgram("x".into()) }.into();
+        let e = NscError::on_node(NodeId(5), ExecError::BadProgram("x".into()).into());
         assert!(e.to_string().contains("node N5"), "{e}");
         let level1 = e.source().unwrap().downcast_ref::<NscError>().unwrap();
         assert!(matches!(level1, NscError::Exec(_)));

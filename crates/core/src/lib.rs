@@ -66,9 +66,12 @@
 //! ```
 //!
 //! [`Session::run_batch`] extends the same pipeline to many documents
-//! across a pool of nodes ([`run_compiled_on_pool`] drives an explicit
-//! subset — the nodes of one sub-cube embedding); the [`Workload`] trait
-//! packages whole solver problems (see `nsc-cfd`'s Jacobi/SOR/multigrid
+//! across a pool of nodes. Every multi-node run goes through one driver,
+//! [`run_compiled_on_pool`], which runs compiled programs on an explicit
+//! pool of nodes (the whole slice, or the nodes of one sub-cube
+//! embedding); [`run_compiled_phased`] is its two-phase form with an
+//! overlappable exchange in between. The [`Workload`] trait packages
+//! whole solver problems (see `nsc-cfd`'s Jacobi/SOR/multigrid
 //! workloads) behind it.
 
 #![warn(missing_docs)]
@@ -83,6 +86,6 @@ pub use self::debugger::{DebugFrame, DebugReport};
 pub use self::environment::VisualEnvironment;
 pub use self::error::{DiagnosticSet, NscError};
 pub use self::session::{
-    run_compiled_batch, run_compiled_on_pool, run_compiled_phased, BatchReport, CacheStats,
-    CertificateLog, CompiledProgram, KernelCache, RunReport, Session, Workload,
+    run_compiled_on_pool, run_compiled_phased, BatchReport, CacheStats, CertificateLog,
+    CompiledProgram, KernelCache, RunReport, Session, Workload,
 };

@@ -14,10 +14,11 @@
 //! [`RunReport`] with per-run [`PerfCounters`]. Every failure anywhere in
 //! the pipeline is an [`NscError`].
 //!
-//! [`Session::run_batch`] is the batch driver: it compiles many documents
-//! and executes them across a pool of nodes on crossbeam scoped threads,
-//! aggregating the per-run counters — the substrate for serving many
-//! concurrent workloads on one simulated machine park.
+//! [`run_compiled_on_pool`] is the one pool driver: it executes compiled
+//! programs across a pool of nodes, one scoped thread per node, and
+//! aggregates the per-run counters. [`Session::run_batch`] compiles many
+//! documents and makes one pool call; [`run_compiled_phased`] makes two,
+//! with an overlappable exchange between them.
 
 use crate::certify::build_certificate;
 use crate::error::NscError;
@@ -579,19 +580,14 @@ impl Session {
         nodes: &mut [NodeSim],
         opts: &RunOptions,
     ) -> Result<BatchReport, NscError> {
-        if docs.is_empty() {
-            return Ok(BatchReport::default());
-        }
-        if nodes.is_empty() {
-            return Err(NscError::EmptyPool);
-        }
         let compiled = docs
             .iter_mut()
             .enumerate()
             .map(|(i, d)| self.compile(d).map_err(|e| NscError::in_batch(i, e)))
             .collect::<Result<Vec<_>, _>>()?;
         let programs: Vec<&CompiledProgram> = compiled.iter().collect();
-        run_compiled_batch(&programs, nodes, opts)
+        let pool: Vec<usize> = (0..nodes.len()).collect();
+        run_compiled_on_pool(&programs, nodes, &pool, opts)
     }
 }
 
@@ -619,52 +615,31 @@ fn rebind_preloads(doc: &Document, output: &mut GenOutput) -> Result<(), ()> {
     Ok(())
 }
 
-/// Execute already-compiled programs across a pool of nodes: program `i`
-/// runs on node `i % nodes.len()`, each node draining its queue in
-/// submission order on its own scoped thread. This is the runtime half of
-/// [`Session::run_batch`], exposed separately so drivers that compile once
-/// and run many times (distributed solvers sweeping with halo exchanges)
-/// skip recompilation. Failure semantics match [`Session::run_batch`].
-pub fn run_compiled_batch(
-    programs: &[&CompiledProgram],
-    nodes: &mut [NodeSim],
-    opts: &RunOptions,
-) -> Result<BatchReport, NscError> {
-    run_compiled_on_lanes(programs, nodes.iter_mut().collect(), opts)
-}
-
 /// Execute compiled programs across a *pool* — an explicit subset of a
 /// node slice, in pool order: program `i` runs on
-/// `nodes[pool[i % pool.len()]]`. This is how an embedding hosted on a
-/// sub-cube drives exactly its own nodes (several embeddings on disjoint
-/// sub-cubes of one system can be driven from different threads without
-/// contending for the whole slice — each call borrows only its pool).
-/// Pool indices must be distinct and in range; failure semantics match
-/// [`Session::run_batch`].
+/// `nodes[pool[i % pool.len()]]`, each pool node draining its queue in
+/// submission order on its own scoped thread. This is the one driver
+/// behind [`Session::run_batch`] (whose pool is the whole slice) and
+/// [`run_compiled_phased`]. Drivers that compile once and run many times
+/// call it directly, and an embedding hosted on a sub-cube drives exactly
+/// its own nodes with it (several embeddings on disjoint sub-cubes of one
+/// system can be driven from different threads without contending for
+/// the whole slice — each call borrows only its pool).
+///
+/// Pool indices must be distinct and in range, else the call fails with
+/// [`NscError::PoolNodeOutOfRange`] or [`NscError::PoolNodeRepeated`]
+/// before anything runs; programs with an empty pool fail with
+/// [`NscError::EmptyPool`]. A runtime failure cancels the not-yet-started
+/// remainder of the batch (programs already in flight on other nodes
+/// finish their run), and the lowest-indexed failure is reported as
+/// [`NscError::Batch`].
 pub fn run_compiled_on_pool(
     programs: &[&CompiledProgram],
     nodes: &mut [NodeSim],
     pool: &[usize],
     opts: &RunOptions,
 ) -> Result<BatchReport, NscError> {
-    if pool.is_empty() {
-        return if programs.is_empty() {
-            Ok(BatchReport::default())
-        } else {
-            Err(NscError::EmptyPool)
-        };
-    }
-    // Take disjoint mutable borrows of the pool's nodes, in pool order.
-    let mut all: Vec<Option<&mut NodeSim>> = nodes.iter_mut().map(Some).collect();
-    let picked: Vec<&mut NodeSim> = pool
-        .iter()
-        .map(|&i| {
-            all.get_mut(i)
-                .and_then(Option::take)
-                .unwrap_or_else(|| panic!("pool node {i} out of range or repeated"))
-        })
-        .collect();
-    run_compiled_on_lanes(programs, picked, opts)
+    drive_pool(programs, nodes, pool, opts)
 }
 
 /// The phased pool driver behind the overlapped sweep engine: run each
@@ -685,6 +660,9 @@ pub fn run_compiled_on_pool(
 ///
 /// Failures are reported as [`NscError::Batch`] with `doc` equal to the
 /// *lane* index, so callers can attribute them to the lane's part/node.
+/// Program slices whose length differs from the pool's fail with
+/// [`NscError::LaneCountMismatch`], and bad pools as in
+/// [`run_compiled_on_pool`], before anything runs.
 pub fn run_compiled_phased(
     system: &mut NscSystem,
     pool: &[usize],
@@ -693,39 +671,18 @@ pub fn run_compiled_phased(
     opts: &RunOptions,
     exchange: impl FnOnce(&mut NscSystem),
 ) -> Result<u64, NscError> {
-    assert_eq!(interior.len(), pool.len(), "one interior slot per pool lane");
-    assert_eq!(shell.len(), pool.len(), "one shell slot per pool lane");
-
-    // Run one sparse phase: the lanes that have a program, concurrently.
-    fn run_phase(
-        system: &mut NscSystem,
-        pool: &[usize],
-        progs: &[Option<&CompiledProgram>],
-        opts: &RunOptions,
-    ) -> Result<(), NscError> {
-        let mut sub_progs = Vec::new();
-        let mut sub_pool = Vec::new();
-        let mut lanes = Vec::new();
-        for (lane, prog) in progs.iter().enumerate() {
-            if let Some(p) = prog {
-                sub_progs.push(*p);
-                sub_pool.push(pool[lane]);
-                lanes.push(lane);
-            }
+    for programs in [interior, shell] {
+        if programs.len() != pool.len() {
+            return Err(NscError::LaneCountMismatch {
+                lanes: pool.len(),
+                programs: programs.len(),
+            });
         }
-        if sub_progs.is_empty() {
-            return Ok(());
-        }
-        run_compiled_on_pool(&sub_progs, system.nodes_mut(), &sub_pool, opts).map(|_| ()).map_err(
-            |e| match e {
-                NscError::Batch { doc, source } => NscError::Batch { doc: lanes[doc], source },
-                other => other,
-            },
-        )
     }
-
-    let before: Vec<u64> = pool.iter().map(|&i| system.nodes()[i].counters.cycles).collect();
-    run_phase(system, pool, interior, opts)?;
+    // A bad pool index reads as 0 here; the interior phase rejects it.
+    let before: Vec<u64> =
+        pool.iter().map(|&i| system.nodes().get(i).map_or(0, |n| n.counters.cycles)).collect();
+    drive_pool(interior, system.nodes_mut(), pool, opts)?;
     // The interior window: what each pool node just spent computing, in ns.
     let clock = system.nodes()[0].kb.config().clock_hz;
     let budgets: Vec<(nsc_arch::NodeId, u64)> = pool
@@ -740,34 +697,57 @@ pub fn run_compiled_phased(
     system.open_comm_window(&budgets);
     exchange(system);
     let hidden = system.close_comm_window();
-    run_phase(system, pool, shell, opts)?;
+    drive_pool(shell, system.nodes_mut(), pool, opts)?;
     Ok(hidden)
 }
 
-fn run_compiled_on_lanes(
-    programs: &[&CompiledProgram],
-    mut nodes: Vec<&mut NodeSim>,
+/// The pool driver proper. `programs` holds `&CompiledProgram`s or
+/// `Option<&CompiledProgram>`s; a `None` entry is a lane with nothing to
+/// run in this call, and a pool node dealt only `None`s gets no thread.
+fn drive_pool<'a, P>(
+    programs: &[P],
+    nodes: &mut [NodeSim],
+    pool: &[usize],
     opts: &RunOptions,
-) -> Result<BatchReport, NscError> {
+) -> Result<BatchReport, NscError>
+where
+    P: Copy + Into<Option<&'a CompiledProgram>>,
+{
+    // Take disjoint mutable borrows of the pool's nodes, in pool order.
+    let node_count = nodes.len();
+    let mut all: Vec<Option<&mut NodeSim>> = nodes.iter_mut().map(Some).collect();
+    let mut lanes = Vec::with_capacity(pool.len());
+    for &i in pool {
+        let slot =
+            all.get_mut(i).ok_or(NscError::PoolNodeOutOfRange { node: i, nodes: node_count })?;
+        lanes.push(slot.take().ok_or(NscError::PoolNodeRepeated { node: i })?);
+    }
     if programs.is_empty() {
         return Ok(BatchReport::default());
     }
-    if nodes.is_empty() {
+    if lanes.is_empty() {
         return Err(NscError::EmptyPool);
     }
+
     // Deal (index, program, result slot) triples round-robin into one
-    // work queue per node.
-    let lanes = nodes.len();
+    // work queue per lane.
     let mut slots: Vec<Option<Result<RunReport, NscError>>> =
         programs.iter().map(|_| None).collect();
     let mut queues: Vec<Vec<(usize, &CompiledProgram, &mut Option<_>)>> =
-        (0..lanes).map(|_| Vec::new()).collect();
+        lanes.iter().map(|_| Vec::new()).collect();
     for (i, (prog, slot)) in programs.iter().zip(slots.iter_mut()).enumerate() {
-        queues[i % lanes].push((i, *prog, slot));
+        if let Some(prog) = (*prog).into() {
+            queues[i % lanes.len()].push((i, prog, slot));
+        }
     }
+    let mut report = BatchReport::default();
     let cancelled = AtomicBool::new(false);
-    let scope_ok = crossbeam::thread::scope(|scope| {
-        for (node, queue) in nodes.iter_mut().zip(queues) {
+    crossbeam::thread::scope(|scope| {
+        for (node, queue) in lanes.iter_mut().zip(queues) {
+            if queue.is_empty() {
+                continue;
+            }
+            report.nodes_used += 1;
             let cancelled = &cancelled;
             scope.spawn(move |_| {
                 for (i, prog, slot) in queue {
@@ -783,37 +763,22 @@ fn run_compiled_on_lanes(
             });
         }
     })
-    .is_ok();
-    if !scope_ok {
-        return Err(NscError::WorkerPanic);
-    }
+    .map_err(|_| NscError::WorkerPanic)?;
 
-    // Surface the lowest-indexed failure; a `None` slot means the
-    // cancellation skipped that document, which is only reachable
-    // when some earlier slot holds the causing error.
-    if cancelled.load(Ordering::Relaxed) {
-        for slot in &slots {
-            if let Some(Err(e)) = slot {
-                return Err(e.clone());
-            }
-        }
-        return Err(NscError::WorkerPanic);
-    }
-
-    let mut report = BatchReport::default();
-    let mut lane_totals = vec![PerfCounters::default(); lanes];
+    // An empty slot is a `None` program or one the cancellation skipped;
+    // the first error in submission order is the lowest-indexed failure.
+    // A lane's queue runs sequentially (counters accumulate); the lanes
+    // themselves overlap in time (counters absorb).
+    let mut lane_totals = vec![PerfCounters::default(); lanes.len()];
     for (i, slot) in slots.into_iter().enumerate() {
-        let run = slot.unwrap_or(Err(NscError::WorkerPanic))?;
-        lane_totals[i % lanes].accumulate(&run.counters);
+        let Some(run) = slot else { continue };
+        let run = run?;
+        lane_totals[i % lanes.len()].accumulate(&run.counters);
         report.runs.push(run);
     }
-    // A node's queue runs sequentially (counters accumulate); the
-    // nodes themselves overlap in time (counters absorb).
     for lane in &lane_totals {
         report.total.absorb(lane);
     }
-    report.nodes_used = lanes.min(report.runs.len());
-    report.per_lane = lane_totals;
     Ok(report)
 }
 
@@ -895,19 +860,15 @@ pub struct RunReport {
     pub mflops: f64,
 }
 
-/// Outcome of a [`Session::run_batch`] call.
+/// Outcome of a [`run_compiled_on_pool`] call (and so of
+/// [`Session::run_batch`]).
 #[derive(Debug, Clone, Default)]
 pub struct BatchReport {
-    /// Per-document reports, in submission order.
+    /// Per-program reports, in submission order.
     pub runs: Vec<RunReport>,
     /// Pool-level aggregate: work sums across all runs; elapsed cycles are
     /// the busiest node's total (nodes overlap in time).
     pub total: PerfCounters,
-    /// Per-lane totals, indexed like the pool the batch ran on: lane `i`
-    /// accumulated every document it was dealt (`i`, `i + lanes`, ...).
-    /// Job accounting reads busy time per node from here instead of
-    /// re-deriving it from the round-robin deal.
-    pub per_lane: Vec<PerfCounters>,
     /// Nodes that actually received work.
     pub nodes_used: usize,
 }
@@ -916,12 +877,6 @@ impl BatchReport {
     /// Aggregate achieved MFLOPS of the pool at a clock rate.
     pub fn mflops(&self, clock_hz: u64) -> f64 {
         self.total.mflops(clock_hz)
-    }
-
-    /// Per-document counters, in submission order — what document `i`
-    /// alone charged its node (already a delta, not a lifetime total).
-    pub fn document_counters(&self) -> impl Iterator<Item = &PerfCounters> + '_ {
-        self.runs.iter().map(|r| &r.counters)
     }
 }
 

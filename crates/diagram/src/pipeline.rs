@@ -413,6 +413,19 @@ mod tests {
     }
 
     #[test]
+    fn disconnect_returns_the_wire_once() {
+        let mut d = diagram();
+        let mem = d.add_icon(IconKind::memory());
+        let als = d.add_icon(IconKind::als(AlsKind::Singlet));
+        let to = PadLoc::new(als, PadRef::FuIn { pos: 0, port: InPort::A });
+        let id = d.connect(PadLoc::new(mem, PadRef::Io), to, None).unwrap();
+        let wire = d.disconnect(id).expect("wire exists");
+        assert_eq!((wire.id, wire.to), (id, to));
+        assert_eq!(d.connection_count(), 0);
+        assert_eq!(d.disconnect(id).unwrap_err(), DiagramError::NoSuchConnection(id));
+    }
+
+    #[test]
     fn bypassed_doublet_hides_its_inactive_unit() {
         let mut d = diagram();
         let mem = d.add_icon(IconKind::memory());

@@ -712,6 +712,20 @@ mod tests {
     }
 
     #[test]
+    fn moving_an_icon_changes_only_the_layout_and_undoes() {
+        let mut ed = editor();
+        let icon = place(&mut ed, IconKind::memory(), Point::new(10, 10));
+        let (digest, shape) = (ed.doc.digest(), ed.doc.shape_digest());
+        ed.move_icon(icon, Point::new(30, 12));
+        let position = |ed: &Editor| ed.doc.layout(ed.current).unwrap().position(icon);
+        assert_eq!(position(&ed), Some(Point::new(30, 12)));
+        assert_eq!(ed.doc.digest(), digest, "layout is not part of the digest");
+        assert_eq!(ed.doc.shape_digest(), shape);
+        assert!(ed.undo());
+        assert_eq!(position(&ed), Some(Point::new(10, 10)));
+    }
+
+    #[test]
     fn dropping_outside_the_drawing_area_cancels() {
         let mut ed = editor();
         let py = MSG_H + 1;

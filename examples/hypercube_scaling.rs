@@ -72,7 +72,9 @@ fn main() {
                 sys.node_mut(NodeId(i as u16)).mem.plane_mut(PlaneId(p)).write_slice(0, &data);
             }
         }
-        sys.run_on_all(&prog, &RunOptions::default()).expect("all nodes run");
+        for node in sys.nodes_mut() {
+            node.run_program(&prog, &RunOptions::default()).expect("node runs");
+        }
         // Gray-embedded ring halo exchange: each subdomain sends one
         // xy-plane (4096 words) to its ring successor.
         let nodes = sys.node_count();

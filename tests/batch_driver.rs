@@ -1,11 +1,12 @@
-//! `Session::run_batch`: many compiled documents executed across a pool
-//! of nodes in one call, with per-run reports and aggregated counters —
-//! the acceptance gate for the batch session driver.
+//! The pool driver: `Session::run_batch`, `run_compiled_on_pool` and
+//! `run_compiled_phased` executing compiled documents across a pool of
+//! nodes, with per-run reports, aggregated counters, lane-indexed
+//! failures and typed errors for malformed pools.
 
-use nsc::arch::PlaneId;
+use nsc::arch::{HypercubeConfig, NodeId, PlaneId};
 use nsc::diagram::Document;
-use nsc::env::{run_compiled_on_pool, NscError, Session};
-use nsc::sim::RunOptions;
+use nsc::env::{run_compiled_on_pool, run_compiled_phased, CompiledProgram, NscError, Session};
+use nsc::sim::{NscSystem, PerfCounters, RunOptions};
 
 mod common;
 use common::scale_doc;
@@ -131,4 +132,88 @@ fn a_pool_larger_than_the_batch_leaves_spare_nodes_idle() {
     assert_eq!(report.nodes_used, 2);
     assert_eq!(nodes[2].counters.instructions, 0, "spare nodes untouched");
     assert_eq!(nodes[3].counters.instructions, 0);
+}
+
+#[test]
+fn malformed_pools_are_typed_errors_and_run_nothing() {
+    let session = Session::nsc_1988();
+    let compiled = session.compile(&mut scale_doc(2.0, 0)).expect("compiles");
+    let opts = RunOptions::default();
+    let mut nodes = vec![session.node(), session.node()];
+
+    let err = run_compiled_on_pool(&[&compiled], &mut nodes, &[0, 2], &opts).unwrap_err();
+    assert_eq!(err, NscError::PoolNodeOutOfRange { node: 2, nodes: 2 });
+    let err = run_compiled_on_pool(&[&compiled], &mut nodes, &[1, 1], &opts).unwrap_err();
+    assert_eq!(err, NscError::PoolNodeRepeated { node: 1 });
+    assert!(nodes.iter().all(|n| n.counters.instructions == 0), "nothing ran");
+
+    let mut system = NscSystem::new(HypercubeConfig::new(1), session.kb());
+    let lanes = [Some(&compiled), None];
+    let err = run_compiled_phased(&mut system, &[0], &lanes, &[None], &opts, |_| {}).unwrap_err();
+    assert_eq!(err, NscError::LaneCountMismatch { lanes: 1, programs: 2 });
+    let err = run_compiled_phased(&mut system, &[0, 1], &lanes, &[None], &opts, |_| {});
+    assert_eq!(err.unwrap_err(), NscError::LaneCountMismatch { lanes: 2, programs: 1 });
+    let err = run_compiled_phased(&mut system, &[0, 5], &lanes, &lanes, &opts, |_| {});
+    assert_eq!(err.unwrap_err(), NscError::PoolNodeOutOfRange { node: 5, nodes: 2 });
+    let err = run_compiled_phased(&mut system, &[1, 1], &lanes, &lanes, &opts, |_| {});
+    assert_eq!(err.unwrap_err(), NscError::PoolNodeRepeated { node: 1 });
+    assert!(system.nodes().iter().all(|n| n.counters == PerfCounters::default()));
+}
+
+#[test]
+fn the_phased_driver_reports_lanes_skips_idle_ones_and_hides_up_to_each_budget() {
+    let session = Session::nsc_1988();
+    let short = session.compile(&mut scale_doc(3.0, 0)).expect("compiles");
+    let mut two_step = scale_doc(2.0, 0);
+    two_step.copy_pipeline(two_step.pipelines()[0].id).expect("copied");
+    let two_step = session.compile(&mut two_step).expect("compiles");
+    let mut long = scale_doc(4.0, 0);
+    let pid = long.pipelines()[0].id;
+    long.pipeline_mut(pid).unwrap().stream_len = 4096;
+    let long = session.compile(&mut long).expect("compiles");
+    let opts = RunOptions::default();
+
+    // A failure on lane 2, behind two empty lanes and under a permuted
+    // pool, is reported as lane 2 — not as its rank among the lanes that
+    // had work, nor as its node.
+    let mut system = NscSystem::new(HypercubeConfig::new(2), session.kb());
+    let one_instruction = RunOptions { max_instructions: 1, ..Default::default() };
+    let interior = [None, None, Some(&two_step), Some(&short)];
+    let err = run_compiled_phased(
+        &mut system,
+        &[3, 1, 0, 2],
+        &interior,
+        &[None; 4],
+        &one_instruction,
+        |_| {},
+    )
+    .unwrap_err();
+    let NscError::Batch { doc, ref source } = err else {
+        panic!("expected Batch, got {err:?}");
+    };
+    assert_eq!(doc, 2);
+    assert!(matches!(**source, NscError::MaxInstructions { .. }));
+
+    // Lane 1 has no program in either phase; the exchange moves one
+    // message between the nodes of lanes 0 and 2 inside the window.
+    let clock = session.kb().config().clock_hz;
+    let budget = |p: &CompiledProgram| {
+        let cycles = p.run(&mut session.node(), &opts).expect("runs").counters.cycles;
+        (cycles as u128 * 1_000_000_000 / clock as u128) as u64
+    };
+    let (long_budget, short_budget) = (budget(&long), budget(&short));
+    let mut system = NscSystem::new(HypercubeConfig::new(2), session.kb());
+    let interior = [Some(&long), None, Some(&short), None];
+    let shell = [Some(&short), None, None, Some(&short)];
+    let mut charged = 0;
+    let hidden = run_compiled_phased(&mut system, &[0, 1, 2, 3], &interior, &shell, &opts, |sys| {
+        charged = sys.exchange(NodeId(0), PlaneId(1), 0, NodeId(2), PlaneId(2), 0, 64);
+    })
+    .expect("runs");
+    assert!(short_budget < charged && charged < long_budget, "the message fills one budget only");
+    assert_eq!(hidden, charged.min(long_budget) + charged.min(short_budget));
+    assert_eq!(system.node(NodeId(0)).counters.comm_hidden_ns, charged);
+    assert_eq!(system.node(NodeId(2)).counters.comm_hidden_ns, short_budget);
+    assert_eq!(system.node(NodeId(1)).counters, PerfCounters::default(), "idle lane untouched");
+    assert_eq!(system.node(NodeId(3)).counters.instructions, 1, "shell-only lane ran");
 }
