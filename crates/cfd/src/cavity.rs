@@ -27,9 +27,7 @@ use crate::diagrams::{
     build_ftcs_transport_document, build_jacobi2d_sweep_document_windows, Jacobi2dGeometry,
     PLANE_G, PLANE_MASK, PLANE_U0, PLANE_U1, PLANE_W0, PLANE_W1, PLANE_WC, RESIDUAL_CACHE,
 };
-use crate::distributed::{
-    attribute_part, check_same_machine, compile_per_part, measure_system_run,
-};
+use crate::distributed::{attribute_part, check_same_machine, dedup_compile, measure_system_run};
 use crate::grid::{Grid2, PaddedField};
 use crate::host::{ftcs_update_tree, FtcsCoeffs};
 use crate::overlap::{CompiledSweep, SweepEngine, SweepIo};
@@ -186,17 +184,22 @@ pub struct VorticityTransport {
 }
 
 impl VorticityTransport {
-    /// Compile the FTCS step for every part of `partition`, deduplicating
-    /// identical local shapes.
+    /// Compile the FTCS step for every part of `partition`; parts with
+    /// identical local shapes share one compile.
     pub fn new(
         session: &Session,
         partition: &dyn Partition,
         coeffs: FtcsCoeffs,
     ) -> Result<Self, NscError> {
-        let programs = compile_per_part(session, partition, |p| {
-            let (lnx, lny, _) = p.local_shape();
-            build_ftcs_transport_document(Jacobi2dGeometry::new(lnx, lny), coeffs)
-        })?;
+        let mut compile = dedup_compile(session);
+        let programs = partition
+            .parts()
+            .iter()
+            .map(|p| {
+                let (lnx, lny, _) = p.local_shape();
+                compile(p, build_ftcs_transport_document(Jacobi2dGeometry::new(lnx, lny), coeffs))
+            })
+            .collect::<Result<_, _>>()?;
         Ok(VorticityTransport { programs })
     }
 

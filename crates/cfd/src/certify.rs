@@ -44,8 +44,10 @@ fn ecube_path(from: u64, to: u64) -> Vec<u64> {
 /// exchange: for every pair of parts abutting along exactly one split
 /// axis, the lower part's top owned layers travel up (refreshing the
 /// upper part's low ghosts) when the spec wants low faces, and vice
-/// versa. `words` is the face area times the ghost depth; the path is
-/// the e-cube route between the parts' nodes.
+/// versa. `words` is the face area — walked by
+/// [`crate::Part::face_runs`], as the router exchange walks it — times
+/// the ghost depth; the path is the e-cube route between the parts'
+/// nodes.
 pub fn halo_routes(partition: &dyn Partition, spec: &HaloSpec) -> Vec<RouteCert> {
     let parts = partition.parts();
     let mut routes = Vec::new();
@@ -67,8 +69,8 @@ pub fn halo_routes(partition: &dyn Partition, spec: &HaloSpec) -> Vec<RouteCert>
             if lo.spans[axis].hi_ghost == 0 || hi.spans[axis].lo_ghost == 0 {
                 continue;
             }
-            let face: u64 =
-                (0..3).filter(|&o| o != axis).map(|o| lo.spans[o].local_len() as u64).product();
+            let mut face = 0;
+            lo.face_runs(axis, lo.spans[axis].start, |_, len| face += len as u64);
             let words = face * spec.layers as u64;
             let [want_lo, want_hi] = spec.faces[axis];
             if want_lo {
@@ -126,7 +128,7 @@ pub fn window_coverage(partition: &dyn Partition, splits: &[SweepSplit]) -> Vec<
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::partition::{BlockPartition, GridShape, StripPartition};
+    use crate::partition::{BlockPartition, GridShape};
     use nsc_arch::HypercubeConfig;
 
     #[test]
@@ -145,7 +147,8 @@ mod tests {
     #[test]
     fn strip_routes_pair_every_interior_boundary_both_ways() {
         let cube = HypercubeConfig::new(2);
-        let strips = StripPartition::new(GridShape::volume3d(4, 4, 12), cube).expect("decomposes");
+        let strips = BlockPartition::new(GridShape::volume3d(4, 4, 12), cube.torus2d(4, 1))
+            .expect("decomposes");
         let routes = halo_routes(&strips, &HaloSpec::stencil());
         // 3 interior boundaries, one message each way.
         assert_eq!(routes.len(), 6);
@@ -174,7 +177,8 @@ mod tests {
     #[test]
     fn coverage_tiles_the_owned_layers() {
         let cube = HypercubeConfig::new(2);
-        let strips = StripPartition::new(GridShape::volume3d(4, 4, 12), cube).expect("decomposes");
+        let strips = BlockPartition::new(GridShape::volume3d(4, 4, 12), cube.torus2d(4, 1))
+            .expect("decomposes");
         let axis = strips.shape().overlap_axis();
         let spec = HaloSpec::stencil();
         let splits: Vec<SweepSplit> =

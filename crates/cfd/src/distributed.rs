@@ -34,7 +34,9 @@ use crate::nsc_run::load_problem;
 use crate::overlap::{SweepEngine, SweepIo};
 use crate::partition::{read_slabs, GridShape, HaloSpec, Part, Partition, PartitionSpec};
 use nsc_core::{CompiledProgram, NscError, Session, Workload};
+use nsc_diagram::Document;
 use nsc_sim::{NscSystem, PerfCounters, RunOptions};
+use std::collections::hash_map::{Entry, HashMap};
 
 /// Wrap each part's slab words (ghosts included) as a [`Grid3`] on the
 /// part's local shape, keeping the global mesh spacing.
@@ -63,31 +65,22 @@ pub(crate) fn check_same_machine(session: &Session, system: &NscSystem) -> Resul
     Ok(())
 }
 
-/// Compile one program per part, indexed in part order; `build`
-/// constructs the document for a part.
-///
-/// The document must depend on the part only through its local shape —
-/// true of every sweep builder — so a balanced decomposition with a
-/// handful of distinct shapes compiles a handful of programs and shares
-/// them across nodes. Compile failures are attributed to the part's node.
-pub(crate) fn compile_per_part(
+/// A compile function that shares one compile among parts whose
+/// documents are identical, keyed by [`Document::digest`]: a balanced
+/// decomposition produces a handful of distinct local shapes, so it
+/// compiles a handful of programs. Compile failures are attributed to
+/// the part's node.
+pub(crate) fn dedup_compile(
     session: &Session,
-    partition: &dyn Partition,
-    build: impl Fn(&Part) -> nsc_diagram::Document,
-) -> Result<Vec<CompiledProgram>, NscError> {
-    let mut by_shape: std::collections::HashMap<(usize, usize, usize), CompiledProgram> =
-        std::collections::HashMap::new();
-    let mut programs = Vec::with_capacity(partition.parts().len());
-    for p in partition.parts() {
-        let prog = match by_shape.entry(p.local_shape()) {
-            std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-            std::collections::hash_map::Entry::Vacant(e) => e.insert(
-                session.compile(&mut build(p)).map_err(|err| NscError::on_node(p.node, err))?,
-            ),
-        };
-        programs.push(prog.clone());
+) -> impl FnMut(&Part, Document) -> Result<CompiledProgram, NscError> + '_ {
+    let mut compiled: HashMap<u128, CompiledProgram> = HashMap::new();
+    move |p, mut doc| match compiled.entry(doc.digest()) {
+        Entry::Occupied(e) => Ok(e.get().clone()),
+        Entry::Vacant(e) => {
+            let prog = session.compile(&mut doc).map_err(|err| NscError::on_node(p.node, err))?;
+            Ok(e.insert(prog).clone())
+        }
     }
-    Ok(programs)
 }
 
 /// Per-run system metrics derived from a counter snapshot taken before

@@ -30,10 +30,10 @@
 //!   multigrid with NSC-priced smoothing) for batch harnesses and
 //!   benchmarks;
 //! * [`partition`] — topology-aware domain decomposition behind the
-//!   [`Partition`] trait: [`StripPartition`] (1-D strips of planes on the
-//!   Gray ring) and [`BlockPartition`] (2-D blocks on a Gray-embedded
-//!   torus), both with ghost layers refreshed through the hyperspace
-//!   router per a [`HaloSpec`];
+//!   [`Partition`] trait: [`BlockPartition`] cuts 2-D blocks on a
+//!   Gray-embedded torus, and 1-D strips of planes on the Gray ring are
+//!   its one-column case; ghost layers are refreshed through the
+//!   hyperspace router per a [`HaloSpec`];
 //! * [`distributed`] — the decomposed solvers: Jacobi compiled per node
 //!   slab and run concurrently across the cube (bit-identical to the
 //!   serial sweeps), and the block-SOR host baseline with router-charged
@@ -81,6 +81,6 @@ pub use self::nsc_run::{load_problem, prepare, run_jacobi, run_jacobi_on_node, J
 pub use self::overlap::{CompiledSweep, SweepEngine, SweepIo};
 pub use self::partition::{
     host_halo_exchange, read_slabs, AxisSpan, BlockPartition, GridShape, HaloSpec, Part, Partition,
-    PartitionSpec, StripPartition, SweepSplit, SweepWindow,
+    PartitionSpec, SweepSplit, SweepWindow,
 };
 pub use self::workloads::{JacobiWorkload, MultigridRun, MultigridWorkload, SorRun, SorWorkload};

@@ -44,14 +44,15 @@
 //! use nsc_cfd::nsc_run::load_problem;
 //! use nsc_cfd::host::JacobiHostState;
 //! use nsc_cfd::grid::manufactured_problem;
-//! use nsc_cfd::{GridShape, HaloSpec, JacobiVariant, Partition, StripPartition, SweepEngine, SweepIo};
+//! use nsc_cfd::{BlockPartition, GridShape, HaloSpec, JacobiVariant, Partition, SweepEngine, SweepIo};
 //! use nsc_core::Session;
 //! use nsc_sim::{NscSystem, RunOptions};
 //!
-//! // An 8^3 Poisson problem striped across a 2-node cube.
+//! // An 8^3 Poisson problem striped across a 2-node cube: strips are the
+//! // blocks of a one-column torus.
 //! let session = Session::nsc_1988();
 //! let mut system = NscSystem::new(HypercubeConfig::new(1), session.kb());
-//! let strips = StripPartition::new(GridShape::volume3d(8, 8, 8), system.cube)?;
+//! let strips = BlockPartition::new(GridShape::volume3d(8, 8, 8), system.cube.torus2d(2, 1))?;
 //! let (u0, f, _) = manufactured_problem(8);
 //! for (p, (lu, lf)) in strips.parts().iter().zip(
 //!     strips.scatter(&u0.data).iter().zip(strips.scatter(&f.data)),
@@ -85,13 +86,12 @@
 
 use crate::certify::{halo_routes, window_coverage};
 use crate::diagrams::RESIDUAL_CACHE;
-use crate::distributed::attribute_part;
+use crate::distributed::{attribute_part, dedup_compile};
 use crate::partition::{host_halo_exchange, HaloSpec, Part, Partition, SweepSplit, SweepWindow};
 use nsc_arch::PlaneId;
 use nsc_core::{run_compiled_on_pool, run_compiled_phased, CompiledProgram, NscError, Session};
 use nsc_diagram::Document;
 use nsc_sim::{NscSystem, RunOptions};
-use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -204,18 +204,8 @@ impl<'p> SweepEngine<'p> {
         session: &Session,
         build: impl Fn(&Part, &[SweepWindow]) -> Document,
     ) -> Result<CompiledSweep, NscError> {
-        let mut cache: HashMap<u128, CompiledProgram> = HashMap::new();
-        let mut compile_windows =
-            |p: &Part, windows: &[SweepWindow]| -> Result<CompiledProgram, NscError> {
-                let mut doc = build(p, windows);
-                let key = doc.digest();
-                if let Some(prog) = cache.get(&key) {
-                    return Ok(prog.clone());
-                }
-                let prog = session.compile(&mut doc).map_err(|e| NscError::on_node(p.node, e))?;
-                cache.insert(key, prog.clone());
-                Ok(prog)
-            };
+        let mut compile = dedup_compile(session);
+        let mut compile_windows = |p: &Part, windows: &[SweepWindow]| compile(p, build(p, windows));
 
         let mut fused = Vec::new();
         let mut interior = Vec::new();
@@ -432,11 +422,11 @@ mod tests {
     use crate::grid::{manufactured_problem, Grid3};
     use crate::host::JacobiHostState;
     use crate::nsc_run::load_problem;
-    use crate::partition::{GridShape, StripPartition};
+    use crate::partition::{BlockPartition, GridShape};
     use nsc_arch::HypercubeConfig;
     use nsc_core::Session;
 
-    fn load_strips(strips: &StripPartition, system: &mut NscSystem, u0: &Grid3, f: &Grid3) {
+    fn load_strips(strips: &BlockPartition, system: &mut NscSystem, u0: &Grid3, f: &Grid3) {
         let us = strips.scatter(&u0.data);
         let fs = strips.scatter(&f.data);
         for (p, (lu, lf)) in strips.parts().iter().zip(us.iter().zip(&fs)) {
@@ -463,7 +453,7 @@ mod tests {
         let mut runs = Vec::new();
         for overlap in [false, true] {
             let mut system = NscSystem::new(HypercubeConfig::new(2), session.kb());
-            let strips = StripPartition::new(shape, system.cube).expect("decomposes");
+            let strips = BlockPartition::new(shape, system.cube.torus2d(4, 1)).expect("decomposes");
             load_strips(&strips, &mut system, &u0, &f);
             let engine = SweepEngine::new(&strips, HaloSpec::stencil(), overlap);
             let even = engine.compile(&session, build(true)).expect("compiles");

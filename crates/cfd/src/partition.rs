@@ -8,17 +8,21 @@
 //! [`Partition::halo_exchange`] refreshes the ghost layers described by a
 //! [`HaloSpec`] through the hyperspace router.
 //!
-//! Two decompositions implement the trait:
+//! One decomposition implements the trait: [`BlockPartition`], 2-D blocks
+//! over a Gray-embedded [`TorusEmbedding`]. The two slowest axes are split
+//! across the torus rows and columns, so every face exchange crosses
+//! exactly one link; that is what lets multigrid's coarse levels stay
+//! distributed. A *strip* decomposition — 1-D strips of "planes" along
+//! the slowest axis (xy-planes of a 3-D grid, rows of a 2-D one) — is the
+//! block decomposition on a `nodes x 1` torus, whose rows are the Gray
+//! ring, so adjacent strips are physical neighbours. Strips have the
+//! lowest surface-to-volume for tall grids; coarse grids go thinner than
+//! one plane per node long before blocks run out. [`PartitionSpec`]
+//! picks between the two torus shapes.
 //!
-//! * [`StripPartition`] — 1-D strips of "planes" along the slowest axis
-//!   (xy-planes of a 3-D grid, rows of a 2-D one), laid on the Gray ring
-//!   so adjacent strips are physical neighbours. Lowest surface-to-volume
-//!   for tall grids; coarse grids go thinner than one plane per node long
-//!   before a block decomposition runs out.
-//! * [`BlockPartition`] — 2-D blocks over a Gray-embedded
-//!   [`TorusEmbedding`]: the two slowest axes are split across the torus
-//!   rows and columns, so every face exchange still crosses exactly one
-//!   link. This is what lets multigrid's coarse levels stay distributed.
+//! Every face — the router exchange, the host staging of
+//! [`host_halo_exchange`] and the topology certificates — is walked by
+//! [`Part::face_runs`].
 //!
 //! Ghost cells always live *inside* the local slab (its outermost layers),
 //! exactly where the NSC's stencil-padded memory layout expects halo data,
@@ -361,9 +365,8 @@ impl Default for HaloSpec {
 
 /// The uniform surface of a domain decomposition.
 ///
-/// Implementations choose *how* to cut the grid ([`StripPartition`],
-/// [`BlockPartition`]); workloads program against this trait and stay
-/// decomposition-agnostic.
+/// [`BlockPartition`] implements it for strips and blocks alike;
+/// workloads program against this trait and stay decomposition-agnostic.
 pub trait Partition: std::fmt::Debug + Send + Sync {
     /// The global grid.
     fn shape(&self) -> GridShape;
@@ -643,113 +646,13 @@ fn check_sweepable(
     Ok(())
 }
 
-/// 1-D strips of planes along the slowest axis, Gray-ring embedded: strip
-/// `i` lives on [`HypercubeConfig::ring_node`]`(i)`, so adjacent strips
-/// are physical neighbours and every halo message crosses one link.
-#[derive(Debug, Clone)]
-pub struct StripPartition {
-    shape: GridShape,
-    /// The cube the strips live on.
-    pub cube: HypercubeConfig,
-    parts: Vec<Part>,
-    /// The split axis (2 for volume grids, 1 for plane grids).
-    axis: usize,
-}
-
-impl StripPartition {
-    /// Partition `shape` into one strip per node of `cube`, balanced to
-    /// within one plane, with one ghost layer per interior side. Fails
-    /// when the grid is too thin for every strip to be sweepable.
-    pub fn new(shape: GridShape, cube: HypercubeConfig) -> Result<Self, NscError> {
-        let axis = if shape.is_2d() { 1 } else { 2 };
-        let planes = [shape.nx, shape.ny, shape.nz][axis];
-        let sizes = split_axis(planes, cube.nodes());
-        let spans = spans_from_sizes(&sizes, 1);
-        check_sweepable("strip decomposition", &spans, |i| cube.ring_node(i))?;
-        let parts = spans
-            .into_iter()
-            .enumerate()
-            .map(|(i, span)| {
-                let mut spans = [
-                    AxisSpan::whole(shape.nx),
-                    AxisSpan::whole(shape.ny),
-                    AxisSpan::whole(shape.nz),
-                ];
-                spans[axis] = span;
-                Part { node: cube.ring_node(i), spans }
-            })
-            .collect();
-        Ok(StripPartition { shape, cube, parts, axis })
-    }
-
-    /// The split axis (2 for volume grids, 1 for plane grids).
-    pub fn split_axis(&self) -> usize {
-        self.axis
-    }
-}
-
-impl Partition for StripPartition {
-    fn shape(&self) -> GridShape {
-        self.shape
-    }
-
-    fn parts(&self) -> &[Part] {
-        &self.parts
-    }
-
-    fn halo_exchange(
-        &self,
-        system: &mut NscSystem,
-        plane: PlaneId,
-        front_pad: usize,
-        spec: &HaloSpec,
-    ) -> u64 {
-        let [want_lo, want_hi] = spec.faces[self.axis];
-        if !(want_lo || want_hi) {
-            return 0;
-        }
-        let mut per_node = vec![0u64; self.parts.len()];
-        let pw = self.pad_unit(0);
-        for i in 0..self.parts.len().saturating_sub(1) {
-            let (a, b) = (&self.parts[i], &self.parts[i + 1]);
-            let (sa, sb) = (&a.spans[self.axis], &b.spans[self.axis]);
-            assert!(
-                spec.layers <= sa.hi_ghost && spec.layers <= sb.lo_ghost,
-                "halo spec wants {} layers; the parts carry fewer",
-                spec.layers
-            );
-            // a's top owned layers fill b's low ghosts (the hi->lo flow
-            // refreshes b's lo face) and vice versa, as one full-duplex
-            // sendrecv per boundary.
-            let a_send: Vec<u64> = (0..if want_lo { spec.layers } else { 0 })
-                .map(|l| {
-                    self.word_offset(i, front_pad, (sa.lo_ghost + sa.len - spec.layers + l) * pw)
-                })
-                .collect();
-            let b_recv: Vec<u64> = (0..if want_lo { spec.layers } else { 0 })
-                .map(|l| self.word_offset(i + 1, front_pad, l * pw))
-                .collect();
-            let b_send: Vec<u64> = (0..if want_hi { spec.layers } else { 0 })
-                .map(|l| self.word_offset(i + 1, front_pad, (sb.lo_ghost + l) * pw))
-                .collect();
-            let a_recv: Vec<u64> = (0..if want_hi { spec.layers } else { 0 })
-                .map(|l| self.word_offset(i, front_pad, (sa.local_len() - spec.layers + l) * pw))
-                .collect();
-            let ns = system.exchange_face_bidirectional(
-                a.node, plane, &a_send, &a_recv, b.node, plane, &b_send, &b_recv, pw as u64,
-            );
-            per_node[i] += ns;
-            per_node[i + 1] += ns;
-        }
-        per_node.into_iter().max().unwrap_or(0)
-    }
-}
-
 /// 2-D blocks over a Gray-embedded torus: the slowest axis is split across
 /// the torus *rows*, the second-slowest across its *columns* (`(y, x)` for
 /// plane grids, `(z, y)` for volume grids; x stays whole in 3-D so every
 /// local row streams contiguously). Torus-adjacent blocks are hypercube
-/// neighbours, so every face exchange crosses exactly one link.
+/// neighbours, so every face exchange crosses exactly one link. On a
+/// one-column torus (`cube.torus2d(cube.nodes(), 1)`) the blocks are
+/// strips on the Gray ring.
 ///
 /// ```
 /// use nsc_arch::HypercubeConfig;
@@ -795,7 +698,8 @@ impl BlockPartition {
     /// Partition `shape` into one block per torus position, each axis
     /// balanced to within one layer, with one ghost layer per interior
     /// face. Part order is row-major over the torus. Fails when any block
-    /// would be too thin to sweep.
+    /// would be too thin to sweep: the row axis is always checked, the
+    /// column axis only when it is split.
     pub fn new(shape: GridShape, torus: TorusEmbedding) -> Result<Self, NscError> {
         let row_sizes = split_axis(if shape.is_2d() { shape.ny } else { shape.nz }, torus.rows());
         let col_sizes = split_axis(if shape.is_2d() { shape.nx } else { shape.ny }, torus.cols());
@@ -817,9 +721,7 @@ impl BlockPartition {
         let (row_axis, col_axis) = if shape.is_2d() { (1, 0) } else { (2, 1) };
         let row_spans = spans_from_sizes(row_sizes, 1);
         let col_spans = spans_from_sizes(col_sizes, 1);
-        if torus.rows() > 1 {
-            check_sweepable("block decomposition (row axis)", &row_spans, |r| torus.node(r, 0))?;
-        }
+        check_sweepable("block decomposition (row axis)", &row_spans, |r| torus.node(r, 0))?;
         if torus.cols() > 1 {
             check_sweepable("block decomposition (column axis)", &col_spans, |c| torus.node(0, c))?;
         }
@@ -980,7 +882,8 @@ pub enum PartitionSpec {
     /// offer (dimension >= 2) and the grid is plane-shaped or coarsens.
     #[default]
     Auto,
-    /// Force [`StripPartition`].
+    /// Force strips: a [`BlockPartition`] on the `nodes x 1` torus, one
+    /// strip of planes per node along the Gray ring.
     Strip,
     /// Force [`BlockPartition`] on the near-square torus of the cube.
     Block,
@@ -995,20 +898,13 @@ impl PartitionSpec {
         cube: HypercubeConfig,
         prefer_block: bool,
     ) -> Result<Box<dyn Partition>, NscError> {
-        let block = |cube: HypercubeConfig| -> Result<Box<dyn Partition>, NscError> {
-            Ok(Box::new(BlockPartition::new(shape, cube.torus2d_near_square())?))
+        let blocks = match self {
+            PartitionSpec::Block => true,
+            PartitionSpec::Strip => false,
+            PartitionSpec::Auto => prefer_block && cube.dimension >= 2,
         };
-        match self {
-            PartitionSpec::Strip => Ok(Box::new(StripPartition::new(shape, cube)?)),
-            PartitionSpec::Block => block(cube),
-            PartitionSpec::Auto => {
-                if prefer_block && cube.dimension >= 2 {
-                    block(cube)
-                } else {
-                    Ok(Box::new(StripPartition::new(shape, cube)?))
-                }
-            }
-        }
+        let torus = if blocks { cube.torus2d_near_square() } else { cube.torus2d(cube.nodes(), 1) };
+        Ok(Box::new(BlockPartition::new(shape, torus)?))
     }
 }
 
@@ -1022,12 +918,17 @@ mod tests {
         NscSystem::new(HypercubeConfig::new(dim), &kb)
     }
 
+    /// One strip per node: blocks on the cube's one-column torus.
+    fn strips(shape: GridShape, cube: HypercubeConfig) -> Result<BlockPartition, NscError> {
+        BlockPartition::new(shape, cube.torus2d(cube.nodes(), 1))
+    }
+
     #[test]
     fn strips_cover_the_grid_contiguously_on_adjacent_nodes() {
         let cube = HypercubeConfig::new(3);
-        let d = StripPartition::new(GridShape::volume3d(5, 5, 21), cube).expect("decomposes");
+        let d = strips(GridShape::volume3d(5, 5, 21), cube).expect("decomposes");
         assert_eq!(d.parts().len(), 8);
-        assert_eq!(d.split_axis(), 2);
+        assert_eq!(d.col_sizes(), vec![5], "one torus column: y is not split");
         assert_eq!(d.parts().iter().map(|p| p.spans[2].len).sum::<usize>(), 21);
         for w in d.parts().windows(2) {
             assert_eq!(cube.hops(w[0].node, w[1].node), 1, "adjacent strips, adjacent nodes");
@@ -1035,6 +936,7 @@ mod tests {
         let mut next = 0;
         for (i, p) in d.parts().iter().enumerate() {
             let s = p.spans[2];
+            assert_eq!(p.node, cube.ring_node(i), "strip i on ring position i");
             assert_eq!(s.start, next);
             next += s.len;
             assert!(s.local_len() >= 3);
@@ -1051,7 +953,7 @@ mod tests {
         // plane; an interior strip donates so both edges own two.
         let cube = HypercubeConfig::new(3);
         for planes in [10, 11, 12] {
-            let d = StripPartition::new(GridShape::volume3d(4, 1, planes), cube).expect("splits");
+            let d = strips(GridShape::volume3d(4, 1, planes), cube).expect("splits");
             assert_eq!(d.parts().iter().map(|p| p.spans[2].len).sum::<usize>(), planes);
             assert!(d.parts().iter().all(|p| p.spans[2].local_len() >= 3), "{planes} planes");
         }
@@ -1060,10 +962,18 @@ mod tests {
     #[test]
     fn too_thin_grids_are_rejected_with_the_node_named() {
         let cube = HypercubeConfig::new(3);
-        let err =
-            StripPartition::new(GridShape::volume3d(4, 4, 8), cube).expect_err("1-plane edges");
+        let err = strips(GridShape::volume3d(4, 4, 8), cube).expect_err("1-plane edges");
         assert!(matches!(err, NscError::Workload(_)), "{err}");
-        assert!(err.to_string().contains("3"), "{err}");
+        assert!(err.to_string().contains("node N0 with a 2-layer slab"), "{err}");
+
+        // One node owns the whole axis, with no ghosts to pad it.
+        let one = HypercubeConfig::new(0);
+        for shape in [GridShape::volume3d(4, 4, 2), GridShape::plane2d(9, 2)] {
+            let err = strips(shape, one).expect_err("a 2-layer strip can't sweep");
+            assert!(err.to_string().contains("node N0 with a 2-layer slab"), "{err}");
+            let err = PartitionSpec::Auto.build(shape, one, true).expect_err("auto: strips");
+            assert!(matches!(err, NscError::Workload(_)), "{err}");
+        }
 
         let torus = HypercubeConfig::new(4).torus2d(4, 4);
         let err = BlockPartition::new(GridShape::plane2d(5, 30), torus)
@@ -1074,7 +984,7 @@ mod tests {
     #[test]
     fn strip_scatter_gather_round_trips_and_overlaps_ghosts() {
         let cube = HypercubeConfig::new(2);
-        let d = StripPartition::new(GridShape::plane2d(3, 10), cube).expect("decomposes");
+        let d = strips(GridShape::plane2d(3, 10), cube).expect("decomposes");
         let global: Vec<f64> = (0..30).map(|x| x as f64).collect();
         let locals = d.scatter(&global);
         // Middle strips see one ghost row on each side.
@@ -1215,15 +1125,19 @@ mod tests {
 
     #[test]
     fn strip_halo_exchange_fills_ghost_planes_and_charges_the_router() {
-        let mut sys = system(2); // 4 nodes
-        let d = StripPartition::new(GridShape::volume3d(2, 2, 9), sys.cube).expect("decomposes");
-        let before = sys.comm_ns;
-        check_ghosts_after_exchange(&d, &mut sys, &HaloSpec::stencil());
-        // 3 interior boundaries x 2 messages of one plane over 1 hop each.
-        let msg = sys.cube.router.message_ns(1, 4);
-        assert_eq!(sys.comm_ns - before, 6 * msg, "serialized view counts every message");
-        assert_eq!(sys.node(d.parts()[0].node).counters.comm_ns, msg, "edge strip: one partner");
-        assert_eq!(sys.node(d.parts()[1].node).counters.comm_ns, 2 * msg, "middle: two");
+        // A face is one xy-plane of a volume (4 words) or one row of a
+        // plane grid (5 words).
+        for (shape, face) in [(GridShape::volume3d(2, 2, 9), 4), (GridShape::plane2d(5, 12), 5)] {
+            let mut sys = system(2); // 4 nodes
+            let d = strips(shape, sys.cube).expect("decomposes");
+            check_ghosts_after_exchange(&d, &mut sys, &HaloSpec::stencil());
+            // 3 interior boundaries x 2 messages of one face over 1 hop each.
+            let msg = sys.cube.router.message_ns(1, face);
+            assert_eq!(sys.comm_ns, 6 * msg, "serialized view counts every message");
+            let comm: Vec<u64> =
+                d.parts().iter().map(|p| sys.node(p.node).counters.comm_ns).collect();
+            assert_eq!(comm, [msg, 2 * msg, 2 * msg, msg], "edge strips: one partner; middle: two");
+        }
     }
 
     #[test]

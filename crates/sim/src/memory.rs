@@ -2,12 +2,16 @@
 //!
 //! A plane is 16 Mi words (128 MB) in the published sizing; simulating 16
 //! of them per node times 64 nodes eagerly would be 128 GB, so planes
-//! allocate lazily in 64 Ki-word pages. Unwritten memory reads as zero
-//! (the real machine's ECC-scrubbed initial state is unspecified; zero is
-//! the conventional simulator choice).
+//! allocate lazily in 64 Ki-word pages. A plane keeps a dense page table
+//! — one slot per page, indexed by `addr / PAGE_WORDS` (256 slots at the
+//! published size) — and a slot holds its page only once a word in it is
+//! written. Unwritten memory reads as zero (the real machine's
+//! ECC-scrubbed initial state is unspecified; zero is the conventional
+//! simulator choice). Unit-stride transfers walk the table a page run at
+//! a time, after checking the whole range lies inside the plane.
 
 use nsc_arch::{CacheId, CacheSpec, MachineConfig, MemorySpec, PlaneId};
-use std::collections::HashMap;
+use std::ops::Range;
 
 const PAGE_WORDS: u64 = 65_536;
 
@@ -15,18 +19,55 @@ const PAGE_WORDS: u64 = 65_536;
 #[derive(Debug, Clone, Default)]
 pub struct MemoryPlane {
     words: u64,
-    pages: HashMap<u64, Vec<f64>>,
+    /// The page table: slot `p` holds words `p * PAGE_WORDS ..` once any
+    /// of them is written (the last page is cut to the plane's end).
+    pages: Vec<Option<Box<[f64]>>>,
+}
+
+/// The page runs covering `len` words from `base`, as `(page, offset in
+/// page, range of the transfer)` triples.
+///
+/// # Panics
+/// Before yielding anything, if the range runs past a `words`-word plane.
+fn page_runs(
+    words: u64,
+    op: &str,
+    base: u64,
+    len: usize,
+) -> impl Iterator<Item = (usize, usize, Range<usize>)> {
+    let end = base.saturating_add(len as u64);
+    assert!(len == 0 || end <= words, "plane {op} at {} beyond {words} words", end - 1);
+    let mut done = 0;
+    std::iter::from_fn(move || {
+        if done == len {
+            return None;
+        }
+        let addr = base + done as u64;
+        let off = (addr % PAGE_WORDS) as usize;
+        let run = done..len.min(done + PAGE_WORDS as usize - off);
+        done = run.end;
+        Some(((addr / PAGE_WORDS) as usize, off, run))
+    })
 }
 
 impl MemoryPlane {
     /// A plane of the given capacity in words.
     pub fn new(words: u64) -> Self {
-        MemoryPlane { words, pages: HashMap::new() }
+        MemoryPlane { words, pages: vec![None; words.div_ceil(PAGE_WORDS) as usize] }
     }
 
     /// Capacity in words.
     pub fn words(&self) -> u64 {
         self.words
+    }
+
+    /// Page `p`, allocated (zeroed) on first use.
+    fn page_mut(&mut self, p: usize) -> &mut [f64] {
+        let words = self.words;
+        self.pages[p].get_or_insert_with(|| {
+            let len = (words - p as u64 * PAGE_WORDS).min(PAGE_WORDS);
+            vec![0.0; len as usize].into_boxed_slice()
+        })
     }
 
     /// Read one word (zero if never written).
@@ -36,7 +77,7 @@ impl MemoryPlane {
     #[inline]
     pub fn read(&self, addr: u64) -> f64 {
         assert!(addr < self.words, "plane read at {addr} beyond {} words", self.words);
-        match self.pages.get(&(addr / PAGE_WORDS)) {
+        match &self.pages[(addr / PAGE_WORDS) as usize] {
             Some(page) => page[(addr % PAGE_WORDS) as usize],
             None => 0.0,
         }
@@ -49,21 +90,38 @@ impl MemoryPlane {
     #[inline]
     pub fn write(&mut self, addr: u64, value: f64) {
         assert!(addr < self.words, "plane write at {addr} beyond {} words", self.words);
-        let page =
-            self.pages.entry(addr / PAGE_WORDS).or_insert_with(|| vec![0.0; PAGE_WORDS as usize]);
-        page[(addr % PAGE_WORDS) as usize] = value;
+        self.page_mut((addr / PAGE_WORDS) as usize)[(addr % PAGE_WORDS) as usize] = value;
     }
 
-    /// Bulk store starting at `base`.
+    /// Bulk store starting at `base`, page-at-a-time.
+    ///
+    /// # Panics
+    /// Before writing any word, if the range runs past the plane's end.
     pub fn write_slice(&mut self, base: u64, data: &[f64]) {
-        for (i, &v) in data.iter().enumerate() {
-            self.write(base + i as u64, v);
+        for (p, off, run) in page_runs(self.words, "write", base, data.len()) {
+            self.page_mut(p)[off..off + run.len()].copy_from_slice(&data[run]);
         }
     }
 
-    /// Bulk load of `len` words starting at `base`.
+    /// Bulk load of `len` words starting at `base`, page-at-a-time.
+    ///
+    /// # Panics
+    /// If the range runs past the plane's end.
     pub fn read_vec(&self, base: u64, len: u64) -> Vec<f64> {
-        (0..len).map(|i| self.read(base + i)).collect()
+        let mut out = Vec::with_capacity(len as usize);
+        self.read_run_into(base, len as usize, &mut out);
+        out
+    }
+
+    /// Append the `len` words from `base` to `out` (unwritten pages read
+    /// as zero).
+    fn read_run_into(&self, base: u64, len: usize, out: &mut Vec<f64>) {
+        for (p, off, run) in page_runs(self.words, "read", base, len) {
+            match &self.pages[p] {
+                Some(page) => out.extend_from_slice(&page[off..off + run.len()]),
+                None => out.resize(out.len() + run.len(), 0.0),
+            }
+        }
     }
 
     /// Bulk strided load: append `count` words starting at `base` to
@@ -75,21 +133,8 @@ impl MemoryPlane {
     /// If any addressed word is outside the plane.
     pub fn read_strided_into(&self, base: i64, stride: i64, count: usize, out: &mut Vec<f64>) {
         out.reserve(count);
-        if stride == 1 && base >= 0 && count > 0 {
-            let end = base as u64 + count as u64;
-            assert!(end <= self.words, "plane read at {} beyond {} words", end - 1, self.words);
-            let mut addr = base as u64;
-            let mut left = count;
-            while left > 0 {
-                let off = (addr % PAGE_WORDS) as usize;
-                let n = (PAGE_WORDS as usize - off).min(left);
-                match self.pages.get(&(addr / PAGE_WORDS)) {
-                    Some(page) => out.extend_from_slice(&page[off..off + n]),
-                    None => out.resize(out.len() + n, 0.0),
-                }
-                addr += n as u64;
-                left -= n;
-            }
+        if stride == 1 && base >= 0 {
+            self.read_run_into(base as u64, count, out);
         } else {
             for k in 0..count {
                 out.push(self.read((base + k as i64 * stride) as u64));
@@ -105,22 +150,8 @@ impl MemoryPlane {
     /// # Panics
     /// If any addressed word is outside the plane.
     pub fn write_strided(&mut self, base: i64, stride: i64, vals: &[f64]) {
-        if stride == 1 && base >= 0 && !vals.is_empty() {
-            let end = base as u64 + vals.len() as u64;
-            assert!(end <= self.words, "plane write at {} beyond {} words", end - 1, self.words);
-            let mut addr = base as u64;
-            let mut rest = vals;
-            while !rest.is_empty() {
-                let page = self
-                    .pages
-                    .entry(addr / PAGE_WORDS)
-                    .or_insert_with(|| vec![0.0; PAGE_WORDS as usize]);
-                let off = (addr % PAGE_WORDS) as usize;
-                let n = (PAGE_WORDS as usize - off).min(rest.len());
-                page[off..off + n].copy_from_slice(&rest[..n]);
-                addr += n as u64;
-                rest = &rest[n..];
-            }
+        if stride == 1 && base >= 0 {
+            self.write_slice(base as u64, vals);
         } else {
             for (k, &v) in vals.iter().enumerate() {
                 self.write((base + k as i64 * stride) as u64, v);
@@ -130,7 +161,7 @@ impl MemoryPlane {
 
     /// Pages currently resident (for memory-footprint assertions).
     pub fn resident_pages(&self) -> usize {
-        self.pages.len()
+        self.pages.iter().filter(|p| p.is_some()).count()
     }
 }
 
@@ -231,10 +262,15 @@ mod tests {
     #[test]
     fn planes_allocate_lazily() {
         let mut p = MemoryPlane::new(16 * 1024 * 1024);
-        assert_eq!(p.resident_pages(), 0);
+        assert_eq!(p.read_vec(0, 8 * PAGE_WORDS), vec![0.0; 8 * PAGE_WORDS as usize]);
+        p.read_strided_into(5, 3, 100_000, &mut Vec::new());
+        assert_eq!(p.resident_pages(), 0, "reads allocate nothing");
         p.write(0, 1.0);
         p.write(15 * 1024 * 1024, 2.0);
         assert_eq!(p.resident_pages(), 2, "two touched pages, not 16M words");
+        p.write_slice(3 * PAGE_WORDS - 1, &[1.0, 2.0]);
+        p.write_strided(7 * PAGE_WORDS as i64, 1, &[]);
+        assert_eq!(p.resident_pages(), 4, "a straddling write touches two; an empty one none");
     }
 
     #[test]
@@ -250,6 +286,35 @@ mod tests {
         // Crossing a page boundary on purpose.
         p.write_slice(PAGE_WORDS - 500, &data);
         assert_eq!(p.read_vec(PAGE_WORDS - 500, 1000), data);
+    }
+
+    #[test]
+    fn an_overrunning_write_slice_panics_before_writing_any_word() {
+        let mut p = MemoryPlane::new(100);
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            p.write_slice(98, &[1.0, 2.0, 3.0]);
+        }))
+        .expect_err("three words from 98 run past a 100-word plane");
+        let msg = err.downcast_ref::<String>().expect("formatted panic message");
+        assert!(msg.contains("beyond"), "{msg}");
+        assert_eq!((p.read(98), p.read(99)), (0.0, 0.0), "the words that fit stay unwritten");
+        assert_eq!(p.resident_pages(), 0);
+    }
+
+    #[test]
+    fn a_partial_last_page_round_trips() {
+        let words = 2 * PAGE_WORDS + 100;
+        let mut p = MemoryPlane::new(words);
+        let data: Vec<f64> = (0..300).map(|i| i as f64 + 0.5).collect();
+        // Ends exactly at the plane's last word, inside its short last page.
+        p.write_slice(words - 300, &data);
+        assert_eq!(p.read_vec(words - 300, 300), data);
+        assert_eq!(p.read(words - 1), 299.5);
+        p.write(words - 2, -1.0);
+        let mut tail = Vec::new();
+        p.read_strided_into(words as i64 - 3, 1, 3, &mut tail);
+        assert_eq!(tail, vec![297.5, -1.0, 299.5]);
+        assert_eq!(p.resident_pages(), 2);
     }
 
     #[test]

@@ -199,7 +199,7 @@ impl NscSystem {
         let gather = |mem: &crate::NodeMemory, plane: PlaneId, offs: &[u64]| -> Vec<f64> {
             let mut out = Vec::with_capacity(offs.len() * chunk_len as usize);
             for &off in offs {
-                out.extend(mem.plane(plane).read_vec(off, chunk_len));
+                mem.plane(plane).read_strided_into(off as i64, 1, chunk_len as usize, &mut out);
             }
             out
         };
@@ -222,14 +222,6 @@ impl NscSystem {
             self.charge_comm(b, ns);
         }
         ns
-    }
-
-    /// Global max-reduction of a cache scalar across all nodes, charged as
-    /// a dimension-ordered butterfly (log2(n) exchange rounds of one word).
-    /// Returns `(max value, reduction time in ns)`.
-    pub fn global_max_cache_scalar(&mut self, cache: nsc_arch::CacheId, offset: u64) -> (f64, u64) {
-        let members: Vec<NodeId> = (0..self.nodes.len()).map(|i| NodeId(i as u16)).collect();
-        self.pool_max_cache_scalar(&members, cache, offset)
     }
 
     /// Max-reduction of a cache scalar across an explicit pool of nodes —
@@ -422,7 +414,8 @@ mod tests {
         for i in 0..4u16 {
             sys.node_mut(NodeId(i)).mem.caches[0].write(0, 0, i as f64 * 10.0);
         }
-        let (v, ns) = sys.global_max_cache_scalar(nsc_arch::CacheId(0), 0);
+        let all: Vec<NodeId> = (0..4).map(NodeId).collect();
+        let (v, ns) = sys.pool_max_cache_scalar(&all, nsc_arch::CacheId(0), 0);
         assert_eq!(v, 30.0);
         assert_eq!(ns, 2 * sys.cube.router.message_ns(1, 1), "log2(4) rounds");
     }

@@ -6,9 +6,7 @@
 use nsc::arch::{HypercubeConfig, NodeId, SubCubeAllocator};
 use nsc::cfd::diagrams::PLANE_U0;
 use nsc::cfd::host::{jacobi_sweep_host, JacobiHostState};
-use nsc::cfd::{
-    DistributedJacobiWorkload, Grid3, GridShape, Partition, PartitionSpec, StripPartition,
-};
+use nsc::cfd::{DistributedJacobiWorkload, Grid3, GridShape, PartitionSpec};
 use nsc::env::{Session, Workload};
 use nsc::sim::NscSystem;
 use proptest::prelude::*;
@@ -173,7 +171,9 @@ fn halo_exchange_ghost_cells_match_the_serial_solver_bit_for_bit() {
     let serial = host.current();
 
     let pw = n * n;
-    let decomp = StripPartition::new(GridShape::volume3d(n, n, n), sys.cube).expect("decomposes");
+    let decomp = PartitionSpec::Strip
+        .build(GridShape::volume3d(n, n, n), sys.cube, false)
+        .expect("decomposes");
     let mut ghosts_checked = 0;
     for (pi, p) in decomp.parts().iter().enumerate() {
         let mem = sys.node(p.node).mem.plane(PLANE_U0);

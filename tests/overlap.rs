@@ -10,7 +10,7 @@ use nsc::cfd::host::JacobiHostState;
 use nsc::cfd::nsc_run::load_problem;
 use nsc::cfd::{
     build_jacobi_sweep_document_windows, AxisSpan, BlockPartition, Grid3, GridShape, HaloSpec,
-    Part, Partition, StripPartition, SweepWindow,
+    Part, Partition, PartitionSpec, SweepWindow,
 };
 use nsc::env::Session;
 use nsc::sim::RunOptions;
@@ -85,7 +85,7 @@ proptest! {
         let shape =
             if plane2d { GridShape::plane2d(ny, nz) } else { GridShape::volume3d(nx, ny, nz) };
         let axis = shape.overlap_axis();
-        if let Ok(strips) = StripPartition::new(shape, cube) {
+        if let Ok(strips) = PartitionSpec::Strip.build(shape, cube, false) {
             for p in strips.parts() {
                 check_split(p, axis, &spec);
             }
