@@ -372,7 +372,11 @@ fn summary_markdown(current: &Baseline) -> String {
         e.cache_hit_rate
     ));
     let h = &current.host;
-    md.push_str("\n### Host wall-clock (this runner; jacobi 64^3 @ 8 nodes)\n\n");
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    md.push_str(&format!(
+        "\n### Host wall-clock (this runner, available_parallelism {cores}; \
+         jacobi 64^3 @ 8 nodes)\n\n"
+    ));
     md.push_str("| path | host seconds | host MFLOPS |\n|---|---:|---:|\n");
     md.push_str(&format!(
         "| compiled kernels | {:.4} | {:.1} |\n",

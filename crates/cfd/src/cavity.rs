@@ -15,7 +15,7 @@
 //! plane across the hypercube through the [`Partition`] trait (2-D blocks
 //! on the Gray torus by default, strips on request), compiles the
 //! five-point Jacobi sweep pipeline per block once, and every step runs
-//! the compiled sweeps concurrently on real node threads with halo faces
+//! the compiled sweeps concurrently on host threads with halo faces
 //! moving through the hyperspace router — identical machinery to the 3-D
 //! [`crate::DistributedJacobiWorkload`], on 2-D documents. The explicit ω
 //! transport (step 3) runs on the nodes too: [`VorticityTransport`]

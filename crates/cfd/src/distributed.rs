@@ -4,8 +4,8 @@
 //! the grid is partitioned onto the cube through the [`Partition`] trait
 //! (strips on the Gray ring or 2-D blocks on a Gray torus — the workload
 //! is decomposition-agnostic), each node compiles the *same* Jacobi sweep
-//! pipeline on its own slab geometry, the sweeps run concurrently on real
-//! node threads, and ghost layers are refreshed through the hyperspace
+//! pipeline on its own slab geometry, the sweeps run concurrently on host
+//! threads, and ghost layers are refreshed through the hyperspace
 //! router between sweeps. Because ghost cells sit exactly where the serial
 //! stencil layout keeps its halo pad, every distributed sweep is
 //! **bit-identical** to the serial sweep on the points a node owns; the

@@ -91,7 +91,7 @@ use crate::partition::{host_halo_exchange, HaloSpec, Part, Partition, SweepSplit
 use nsc_arch::PlaneId;
 use nsc_core::{run_compiled_on_pool, run_compiled_phased, CompiledProgram, NscError, Session};
 use nsc_diagram::Document;
-use nsc_sim::{NscSystem, RunOptions};
+use nsc_sim::{for_each_concurrent, NscSystem, RunOptions};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -397,20 +397,15 @@ impl<'p> SweepEngine<'p> {
     }
 }
 
-/// Run `work(part, slab, residual)` for every part concurrently, one
-/// scoped thread per part — the host-compute phase of
-/// [`SweepEngine::host_sweep`].
+/// Run `work(part, slab, residual)` for every part concurrently, on at
+/// most one host thread per core ([`for_each_concurrent`]) — the
+/// host-compute phase of [`SweepEngine::host_sweep`].
 fn for_each_part(
     slabs: &mut [Vec<f64>],
     res: &mut [f64],
     work: impl Fn(usize, &mut Vec<f64>, &mut f64) + Sync,
 ) {
-    let work = &work;
-    let _ = crossbeam::thread::scope(|scope| {
-        for ((pi, slab), r) in slabs.iter_mut().enumerate().zip(res.iter_mut()) {
-            scope.spawn(move |_| work(pi, slab, r));
-        }
-    });
+    for_each_concurrent(slabs.iter_mut().zip(res).enumerate(), |(pi, (slab, r))| work(pi, slab, r));
 }
 
 #[cfg(test)]

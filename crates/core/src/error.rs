@@ -126,10 +126,6 @@ pub enum NscError {
         /// Program slots supplied.
         programs: usize,
     },
-    /// A batch worker thread panicked. Unreachable with the std-backed
-    /// scoped-thread pool (child panics propagate), kept so the driver has
-    /// no panicking path of its own.
-    WorkerPanic,
     /// A workload's own preconditions failed (mismatched grids, bad
     /// parameters) before any document was built.
     Workload(String),
@@ -187,7 +183,6 @@ impl fmt::Display for NscError {
             NscError::LaneCountMismatch { lanes, programs } => {
                 write!(f, "{programs} program slots supplied for {lanes} pool lanes")
             }
-            NscError::WorkerPanic => write!(f, "a batch worker thread panicked"),
             NscError::Workload(msg) => write!(f, "workload rejected: {msg}"),
             NscError::ShapeMismatch { expected, got } => write!(
                 f,
@@ -213,7 +208,6 @@ impl Error for NscError {
             | NscError::PoolNodeOutOfRange { .. }
             | NscError::PoolNodeRepeated { .. }
             | NscError::LaneCountMismatch { .. }
-            | NscError::WorkerPanic
             | NscError::Workload(_)
             | NscError::ShapeMismatch { .. } => None,
         }

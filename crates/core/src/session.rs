@@ -15,8 +15,9 @@
 //! the pipeline is an [`NscError`].
 //!
 //! [`run_compiled_on_pool`] is the one pool driver: it executes compiled
-//! programs across a pool of nodes, one scoped thread per node, and
-//! aggregates the per-run counters. [`Session::run_batch`] compiles many
+//! programs across a pool of nodes, each node with work being one item of
+//! [`for_each_concurrent`] (so the host runs at most one thread per core),
+//! and aggregates the per-run counters. [`Session::run_batch`] compiles many
 //! documents and makes one pool call; [`run_compiled_phased`] makes two,
 //! with an overlappable exchange between them.
 
@@ -28,7 +29,10 @@ use nsc_checker::{diag, Checker, Diagnostic};
 use nsc_codegen::GenOutput;
 use nsc_diagram::Document;
 use nsc_microcode::MicroProgram;
-use nsc_sim::{CompiledKernel, HaltReason, NodeSim, NscSystem, PerfCounters, RunOptions, RunStats};
+use nsc_sim::{
+    for_each_concurrent, CompiledKernel, HaltReason, NodeSim, NscSystem, PerfCounters, RunOptions,
+    RunStats,
+};
 use serde::Serialize;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -562,8 +566,9 @@ impl Session {
     /// Compile many documents and execute them across a pool of nodes.
     ///
     /// Document `i` runs on node `i % nodes.len()`; each node executes its
-    /// queue in submission order on its own scoped thread, so distinct
-    /// nodes run concurrently while one node's programs never interleave.
+    /// queue in submission order, and distinct nodes run concurrently on
+    /// at most one host thread per core ([`run_compiled_on_pool`]), so one
+    /// node's programs never interleave.
     ///
     /// A *compile* failure aborts before anything executes, leaving every
     /// node untouched. A *runtime* failure cancels the not-yet-started
@@ -618,7 +623,9 @@ fn rebind_preloads(doc: &Document, output: &mut GenOutput) -> Result<(), ()> {
 /// Execute compiled programs across a *pool* — an explicit subset of a
 /// node slice, in pool order: program `i` runs on
 /// `nodes[pool[i % pool.len()]]`, each pool node draining its queue in
-/// submission order on its own scoped thread. This is the one driver
+/// submission order. Nodes with work run concurrently through
+/// [`for_each_concurrent`], on at most one host thread per core, the
+/// calling thread included. This is the one driver
 /// behind [`Session::run_batch`] (whose pool is the whole slice) and
 /// [`run_compiled_phased`]. Drivers that compile once and run many times
 /// call it directly, and an embedding hosted on a sub-cube drives exactly
@@ -703,7 +710,7 @@ pub fn run_compiled_phased(
 
 /// The pool driver proper. `programs` holds `&CompiledProgram`s or
 /// `Option<&CompiledProgram>`s; a `None` entry is a lane with nothing to
-/// run in this call, and a pool node dealt only `None`s gets no thread.
+/// run in this call, and a pool node dealt only `None`s is skipped.
 fn drive_pool<'a, P>(
     programs: &[P],
     nodes: &mut [NodeSim],
@@ -740,30 +747,23 @@ where
             queues[i % lanes.len()].push((i, prog, slot));
         }
     }
-    let mut report = BatchReport::default();
+    // Each lane with work is one item for the host runner; a lane drains
+    // its queue in submission order on whichever thread claims it.
+    let busy: Vec<_> = lanes.iter_mut().zip(queues).filter(|(_, q)| !q.is_empty()).collect();
+    let mut report = BatchReport { nodes_used: busy.len(), ..BatchReport::default() };
     let cancelled = AtomicBool::new(false);
-    crossbeam::thread::scope(|scope| {
-        for (node, queue) in lanes.iter_mut().zip(queues) {
-            if queue.is_empty() {
-                continue;
+    for_each_concurrent(busy, |(node, queue)| {
+        for (i, prog, slot) in queue {
+            if cancelled.load(Ordering::Relaxed) {
+                break;
             }
-            report.nodes_used += 1;
-            let cancelled = &cancelled;
-            scope.spawn(move |_| {
-                for (i, prog, slot) in queue {
-                    if cancelled.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let run = prog.run(node, opts).map_err(|e| NscError::in_batch(i, e));
-                    if run.is_err() {
-                        cancelled.store(true, Ordering::Relaxed);
-                    }
-                    *slot = Some(run);
-                }
-            });
+            let run = prog.run(node, opts).map_err(|e| NscError::in_batch(i, e));
+            if run.is_err() {
+                cancelled.store(true, Ordering::Relaxed);
+            }
+            *slot = Some(run);
         }
-    })
-    .map_err(|_| NscError::WorkerPanic)?;
+    });
 
     // An empty slot is a `None` program or one the cancellation skipped;
     // the first error in submission order is the lowest-indexed failure.

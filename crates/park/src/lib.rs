@@ -24,7 +24,7 @@
 //!   leases exact.
 //! * **pool driver** ([`MachinePark`]) — leases node slots to admitted
 //!   jobs (wiped memory, preserved counters), host-executes each batch
-//!   concurrently on scoped threads sharing one compile-once
+//!   concurrently on host threads sharing one compile-once
 //!   [`nsc_core::Session`], measures every job's usage from counter
 //!   deltas, and advances a deterministic virtual clock between
 //!   completions and arrivals.

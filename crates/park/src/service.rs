@@ -12,10 +12,10 @@
 //!    (fresh planes and caches — tenant isolation, like any shared
 //!    facility) but keep their cumulative counters, so machine-lifetime
 //!    accounting survives across tenants.
-//! 3. **Execute** — the admitted batch runs concurrently on host scoped
-//!    threads, all sharing one [`Session`] (and thus one compiled-kernel
-//!    cache: the same sweep document compiles once no matter how many
-//!    tenants submit it). The park snapshots each leased node's counters
+//! 3. **Execute** — the admitted batch runs concurrently on host threads
+//!    (at most one per core), all sharing one [`Session`] (and thus one
+//!    compiled-kernel cache: the same sweep document compiles once no
+//!    matter how many tenants submit it). The park snapshots each leased node's counters
 //!    around the run and takes the *delta* as the job's usage — payloads
 //!    cannot mis-report.
 //! 4. **Advance** — each job's simulated duration is its critical-path
@@ -34,7 +34,7 @@
 use nsc_arch::{HypercubeConfig, SubCube, SubCubeAllocator};
 use nsc_cert::{verify, Expected, LeaseCert};
 use nsc_core::{certify::machine_limits, NscError, Session};
-use nsc_sim::{NodeSim, NscSystem, PerfCounters};
+use nsc_sim::{for_each_concurrent, NodeSim, NscSystem, PerfCounters};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -275,7 +275,7 @@ impl MachinePark {
     }
 
     /// Lease sub-cubes for an admitted batch and host-execute all of its
-    /// jobs concurrently on scoped threads sharing the park session.
+    /// jobs concurrently on host threads sharing the park session.
     fn start_batch(&mut self, admitted: &[JobId], now: f64) -> Vec<RunningJob> {
         struct Lease {
             id: JobId,
@@ -324,25 +324,18 @@ impl MachinePark {
             self.queue.mark_running(lease.id);
         }
 
-        // Host-execute the whole batch concurrently; each thread owns its
+        // Host-execute the whole batch concurrently; each lease owns its
         // leased nodes and compiles through its lease's session clone —
-        // one shared kernel cache, one certificate log per job.
+        // one shared kernel cache, one certificate log per job. A payload
+        // panic propagates out of the runner, so every slot is filled
+        // when it returns.
         let mut results: Vec<Option<LeaseResult>> = (0..leases.len()).map(|_| None).collect();
-        // The vendored scope is std-backed: a child panic re-panics out of
-        // scope() itself, so every slot is filled on the Ok path.
-        let _ = crossbeam::thread::scope(|scope| {
-            for (lease, slot) in leases.iter_mut().zip(results.iter_mut()) {
-                let payload = Arc::clone(&lease.payload);
-                let session = lease.session.clone();
-                let cube = lease.cube;
-                let nodes = std::mem::take(&mut lease.nodes);
-                scope.spawn(move |_| {
-                    let mut system = NscSystem::from_nodes(cube, nodes);
-                    let outcome = payload.run(&session, &mut system);
-                    let (nodes, _comm_ns) = system.into_nodes();
-                    *slot = Some((nodes, outcome));
-                });
-            }
+        for_each_concurrent(leases.iter_mut().zip(results.iter_mut()), |(lease, slot)| {
+            let nodes = std::mem::take(&mut lease.nodes);
+            let mut system = NscSystem::from_nodes(lease.cube, nodes);
+            let outcome = lease.payload.run(&lease.session, &mut system);
+            let (nodes, _comm_ns) = system.into_nodes();
+            *slot = Some((nodes, outcome));
         });
 
         leases

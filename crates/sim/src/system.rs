@@ -6,10 +6,13 @@
 //! system model owns the nodes and accounts simulated communication time
 //! with the e-cube router model; running programs on the nodes
 //! concurrently is the job of `nsc-core`'s pool driver, which borrows
-//! them through [`NscSystem::nodes_mut`].
+//! them through [`NscSystem::nodes_mut`] and spreads them over host
+//! threads with [`for_each_concurrent`].
 
 use crate::node::NodeSim;
 use nsc_arch::{HypercubeConfig, KnowledgeBase, NodeId, PlaneId};
+use std::num::NonZeroUsize;
+use std::sync::{Mutex, OnceLock};
 
 /// An open overlappable communication window: per-node budgets of
 /// concurrently issued compute that messages may hide under.
@@ -139,7 +142,7 @@ impl NscSystem {
     }
 
     /// All nodes, mutably — the handle batch drivers use to run distinct
-    /// programs across the cube on scoped threads.
+    /// programs across the cube on host threads.
     pub fn nodes_mut(&mut self) -> &mut [NodeSim] {
         &mut self.nodes
     }
@@ -271,6 +274,41 @@ impl NscSystem {
     }
 }
 
+/// Run `work` once on every item, concurrently on
+/// `min(items, available_parallelism)` host threads, the calling thread
+/// being one of them: a 1-item call spawns nothing, and 4 items on a
+/// 2-core host spawn one helper thread. Threads claim items in iteration
+/// order from one shared queue until it is empty, then the call joins
+/// them and returns. A panic in `work` propagates to the caller once
+/// every thread has stopped.
+///
+/// This is the workspace's one host-threading primitive: simulated nodes
+/// share no state while they compute, so how many host threads carry them
+/// changes host time only, never a simulated figure.
+pub fn for_each_concurrent<T: Send>(items: impl IntoIterator<Item = T>, work: impl Fn(T) + Sync) {
+    // Queried once: on Linux the query reads the cgroup CPU quota from
+    // files, which costs about as much as spawning a thread.
+    static CORES: OnceLock<usize> = OnceLock::new();
+    let cores =
+        *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get));
+    let items: Vec<T> = items.into_iter().collect();
+    let threads = cores.min(items.len());
+    let queue = Mutex::new(items.into_iter());
+    let drain = || loop {
+        // The guard drops at the end of this statement, so `work` runs
+        // unlocked and the threads overlap.
+        let next = queue.lock().expect("the queue lock is never held across `work`").next();
+        let Some(item) = next else { break };
+        work(item);
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..threads {
+            scope.spawn(drain);
+        }
+        drain();
+    });
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -398,6 +436,35 @@ mod tests {
         sys.exchange(NodeId(1), PlaneId(0), 0, NodeId(3), PlaneId(0), 400, 100);
         assert_eq!(sys.node(NodeId(1)).counters.comm_hidden_ns, msg + msg / 2);
         assert_eq!(sys.close_comm_window(), 0, "closing a closed window is a no-op");
+    }
+
+    #[test]
+    fn every_item_runs_once_on_at_most_the_host_cores() {
+        use std::collections::HashSet;
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let cores = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        for n in [2, 3, 16, 100] {
+            let runs: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+            let threads = Mutex::new(HashSet::new());
+            for_each_concurrent(0..n, |i| {
+                runs[i].fetch_add(1, Ordering::Relaxed);
+                threads.lock().expect("thread set lock").insert(std::thread::current().id());
+            });
+            assert!(runs.iter().all(|r| r.load(Ordering::Relaxed) == 1), "{n} items");
+            let threads = threads.into_inner().expect("thread set lock").len();
+            assert!((1..=n.min(cores)).contains(&threads), "{threads} threads for {n} items");
+        }
+    }
+
+    #[test]
+    fn a_single_item_runs_on_the_calling_thread_and_no_items_return() {
+        let caller = std::thread::current().id();
+        let ran_on = Mutex::new(None);
+        for_each_concurrent([()], |()| {
+            *ran_on.lock().expect("lock") = Some(std::thread::current().id());
+        });
+        assert_eq!(ran_on.into_inner().expect("lock"), Some(caller));
+        for_each_concurrent(Vec::<()>::new(), |()| panic!("there is no item to run"));
     }
 
     #[test]

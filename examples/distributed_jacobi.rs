@@ -2,7 +2,7 @@
 //! strip-decomposed across the hypercube with halo exchange.
 //!
 //! Each node compiles the sweep pipeline on its own slab, the sweeps run
-//! concurrently on real threads, ghost planes move through the hyperspace
+//! concurrently on host threads, ghost planes move through the hyperspace
 //! router between sweeps (full-duplex sendrecv per strip boundary), and
 //! the convergence test is a butterfly max-reduction of the per-node
 //! residuals. The `overlap` rows run the overlapped sweep engine: each

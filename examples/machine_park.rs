@@ -4,7 +4,7 @@
 //! Three tenants submit a mixed stream of whole workloads (Jacobi, SOR,
 //! multigrid, lid-driven cavity) to an 8-node machine. The park queues
 //! them, buddy-allocates each job an aligned sub-cube, runs admitted
-//! jobs concurrently on scoped threads sharing one compile-once session,
+//! jobs concurrently on host threads sharing one compile-once session,
 //! and advances a deterministic virtual clock between completions. The
 //! same stream runs under all three scheduling policies; backfill and
 //! fair-share look past a blocked queue head, so they finish the stream

@@ -120,6 +120,38 @@ fn an_explicit_pool_drives_only_its_own_nodes() {
 }
 
 #[test]
+fn more_lanes_than_host_cores_match_each_queue_run_serially() {
+    // 8 nodes and 16 programs: more lanes than a small host has cores, so
+    // threads claim several lanes each. Every program writes the same
+    // address, so a node's memory shows the order its queue ran in.
+    let session = Session::nsc_1988();
+    let compiled: Vec<_> = (0..16)
+        .map(|i| session.compile(&mut scale_doc((i + 2) as f64, 0)).expect("compiles"))
+        .collect();
+    let programs: Vec<_> = compiled.iter().collect();
+    let pool = [5, 2, 7, 0, 3, 6, 1, 4];
+    let fresh = |node: usize| {
+        let mut n = session.node();
+        n.mem.plane_mut(PlaneId(0)).write_slice(0, &[node as f64, 1.0, -2.5]);
+        n
+    };
+    let opts = RunOptions::default();
+    let mut nodes: Vec<_> = (0..8).map(fresh).collect();
+    let report = run_compiled_on_pool(&programs, &mut nodes, &pool, &opts).expect("pool");
+    assert_eq!((report.runs.len(), report.nodes_used), (16, 8));
+
+    for (lane, &n) in pool.iter().enumerate() {
+        let mut serial = fresh(n);
+        for prog in programs.iter().skip(lane).step_by(pool.len()) {
+            prog.run(&mut serial, &opts).expect("runs");
+        }
+        let plane = |node: &nsc::sim::NodeSim| node.mem.plane(PlaneId(1)).read_vec(0, 3);
+        assert_eq!(plane(&nodes[n]), plane(&serial), "node {n} memory");
+        assert_eq!(nodes[n].counters, serial.counters, "node {n} counters");
+    }
+}
+
+#[test]
 fn a_pool_larger_than_the_batch_leaves_spare_nodes_idle() {
     let session = Session::nsc_1988();
     let mut docs = vec![scale_doc(3.0, 0), scale_doc(4.0, 0)];
